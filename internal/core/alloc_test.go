@@ -20,6 +20,13 @@ import (
 // is pooled, and the logger's request/buffer/channel machinery is fully
 // recycled. (The rare extras — arena chunk growth, the 1-in-256 tall
 // skip-list tower — vanish in AllocsPerRun's integer average.)
+//
+// AllocsPerRun counts mallocs across the whole process, so the WAL drain
+// goroutine's per-group and per-record work (framing, checksumming, the
+// group commit) falls inside this same budget. With more than one P the
+// drain keeps pace with the producer and most groups hold one record, so
+// any per-group allocation there reads as a full extra allocation per
+// put; internal/wal's TestCommitGroupAllocs pins that layer at zero.
 func TestWritePathAllocs(t *testing.T) {
 	opts := testOptions(storage.NewMemFS())
 	opts.MemtableSize = 256 << 20 // no rotation during the measurement

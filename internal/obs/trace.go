@@ -193,15 +193,17 @@ func (t *Trace) SetCapacity(n int) {
 }
 
 // Record appends an event, stamping Seq and (when unset) Time, and then
-// delivers it to the sink, if any.
+// delivers it to the sink, if any. Both stamps are taken under the lock so
+// that the timeline's Seq order and Time order agree even when concurrent
+// recorders race.
 func (t *Trace) Record(e Event) {
 	if t == nil {
 		return
 	}
+	t.mu.Lock()
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	t.mu.Lock()
 	if t.buf == nil {
 		t.buf = make([]Event, DefaultTraceCap)
 	}

@@ -43,7 +43,12 @@ const maxAsyncBacklog = 1024
 // The hot path is allocation-free in steady state: requests, record
 // buffers, and completion channels are all pool-recycled, and ownership of
 // an AppendOwned buffer transfers to the logger, which releases it after
-// the group is written.
+// the group is written. That covers the drain side too: framing seeds each
+// fragment's checksum from a table, and a successful group commit
+// allocates nothing. The engine's put allocation gates count process-wide
+// mallocs, so any per-group or per-record allocation in the drain is
+// charged to Put — once per put when groups hold a single record, as they
+// do whenever the drain runs on its own P.
 type Logger struct {
 	w *Writer
 
@@ -318,7 +323,11 @@ func (l *Logger) commitGroup(backlog *logReq, forceSync bool) {
 		// callers see where a transient errno came from; %w keeps the
 		// underlying sentinel reachable for errors.Is.
 		groupErr = fmt.Errorf("wal: commit group: %w", groupErr)
-		l.err.CompareAndSwap(nil, &groupErr)
+		// Publish a copy's address, not &groupErr: taking groupErr's own
+		// address would move it to the heap for every group, successful
+		// ones included.
+		poison := groupErr
+		l.err.CompareAndSwap(nil, &poison)
 	}
 	if records > 0 && l.groupSize != nil {
 		l.groupSize.RecordValue(uint64(records))

@@ -41,6 +41,23 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// typeCRC holds the CRC-32C of each one-byte fragment type, the seed every
+// frame checksum continues from. A per-fragment []byte{t} would escape
+// through the checksum routine and cost a heap allocation per fragment on
+// both the write and the recovery path.
+var typeCRC = func() (tab [256]uint32) {
+	for i := range tab {
+		tab[i] = crc32.Checksum([]byte{byte(i)}, castagnoli)
+	}
+	return tab
+}()
+
+// frameCRC is the checksum stored in a fragment header: CRC-32C over the
+// type byte followed by the fragment payload.
+func frameCRC(t recordType, frag []byte) uint32 {
+	return crc32.Update(typeCRC[t], castagnoli, frag)
+}
+
 // ErrCorrupt reports a checksum or framing failure in the log.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
@@ -123,9 +140,7 @@ func (w *Writer) Queue(record []byte) {
 // emit frames one fragment into the write buffer.
 func (w *Writer) emit(t recordType, frag []byte) {
 	var hdr [headerSize]byte
-	crc := crc32.Checksum([]byte{byte(t)}, castagnoli)
-	crc = crc32.Update(crc, castagnoli, frag)
-	binary.LittleEndian.PutUint32(hdr[0:4], crc)
+	binary.LittleEndian.PutUint32(hdr[0:4], frameCRC(t, frag))
 	binary.LittleEndian.PutUint16(hdr[4:6], uint16(len(frag)))
 	hdr[6] = byte(t)
 	w.buf = append(w.buf, hdr[:]...)
@@ -319,9 +334,7 @@ func (r *Reader) nextFragment() (recordType, []byte, error) {
 		}
 		frag := r.block[r.pos+headerSize : r.pos+headerSize+length]
 		wantCRC := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := crc32.Checksum([]byte{byte(t)}, castagnoli)
-		crc = crc32.Update(crc, castagnoli, frag)
-		if crc != wantCRC {
+		if frameCRC(t, frag) != wantCRC {
 			if r.finalBlock() {
 				// Checksum failure in the final block: indistinguishable
 				// from a torn write, so truncate there (LevelDB does the

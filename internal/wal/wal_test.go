@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"sync"
@@ -285,6 +286,21 @@ func TestMidFileCorruption(t *testing.T) {
 		t.Fatal("corrupted record accepted")
 	}
 	src.Close()
+}
+
+// TestFrameCRCFormat pins the fragment checksum to its on-disk definition,
+// CRC-32C over the type byte followed by the payload, for every type byte:
+// the table-seeded frameCRC must produce exactly the bytes older logs hold.
+func TestFrameCRCFormat(t *testing.T) {
+	payloads := [][]byte{nil, []byte("x"), bytes.Repeat([]byte("payload"), 50)}
+	for i := 0; i < 256; i++ {
+		for _, p := range payloads {
+			want := crc32.Checksum(append([]byte{byte(i)}, p...), castagnoli)
+			if got := frameCRC(recordType(i), p); got != want {
+				t.Fatalf("type %d, %d-byte payload: frameCRC = %#x, want %#x", i, len(p), got, want)
+			}
+		}
+	}
 }
 
 func TestLoggerAsync(t *testing.T) {
